@@ -41,6 +41,7 @@
 mod clock;
 mod engine;
 pub mod hash;
+mod idmap;
 mod queue;
 pub mod rng;
 mod slab;
@@ -49,6 +50,7 @@ mod time;
 
 pub use clock::Clock;
 pub use engine::{Engine, Model};
+pub use idmap::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;
 pub use slab::{Slab, SlabKey};
 pub use time::Time;

@@ -14,30 +14,18 @@
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::{
-    Arrival, Backend, Message, MsgId, NetEvent, NetScheduler, NetStats, NetworkConfig,
+    Arrival, Backend, LinkTable, Message, MsgId, NetEvent, NetScheduler, NetStats, NetworkConfig,
     NetworkError,
 };
-use astra_des::Time;
-use astra_topology::{Channel, LinkClass, LogicalTopology, NodeId, Route};
-use std::collections::{BTreeMap, HashMap};
-
-type LinkKey = (usize, usize, usize, usize); // (from, to, dim index, ring)
-
-fn key_of(from: NodeId, to: NodeId, ch: Channel) -> LinkKey {
-    (from.index(), to.index(), ch.dim.index(), ch.ring)
-}
-
-#[derive(Debug)]
-struct LinkState {
-    class: LinkClass,
-    busy_until: Time,
-}
+use astra_des::{IdMap, Time};
+use astra_topology::{LogicalTopology, Route};
 
 #[derive(Debug)]
 struct MsgState {
     msg: Message,
-    /// Dense link indices of the route, in traversal order.
-    path: Vec<usize>,
+    /// The route, shared with the sender; each hop's link is looked up in
+    /// the [`LinkTable`] when the hop starts.
+    route: Route,
     hop: usize,
     injected: Time,
     first_tx_start: Time,
@@ -52,11 +40,12 @@ struct MsgState {
 #[derive(Debug)]
 pub struct AnalyticalNet {
     config: NetworkConfig,
-    links: Vec<LinkState>,
-    index: BTreeMap<LinkKey, usize>,
-    inflight: HashMap<u64, MsgState>,
+    table: LinkTable,
+    /// When each link (by dense index) finishes its current transmission.
+    busy_until: Vec<Time>,
+    inflight: IdMap<u64, MsgState>,
     stats: NetStats,
-    /// Per-link fault windows, parallel to `links`. Empty (the default)
+    /// Per-link fault windows, by dense link index. Empty (the default)
     /// means no fault plan is installed and every fault check is skipped,
     /// keeping fault-free timing bit-identical to the pre-fault model.
     fault_windows: Vec<LinkWindows>,
@@ -73,24 +62,13 @@ impl AnalyticalNet {
         if let Err(e) = config.validate() {
             panic!("invalid network config: {e}");
         }
-        let mut links = Vec::new();
-        let mut index = BTreeMap::new();
-        for spec in topo.links() {
-            let k = key_of(spec.from, spec.to, spec.channel);
-            index.entry(k).or_insert_with(|| {
-                links.push(LinkState {
-                    class: spec.class,
-                    busy_until: Time::ZERO,
-                });
-                links.len() - 1
-            });
-        }
-        let stats = NetStats::with_links(links.len());
+        let table = LinkTable::new(topo);
+        let stats = NetStats::with_links(table.len());
         AnalyticalNet {
             config: *config,
-            links,
-            index,
-            inflight: HashMap::new(),
+            busy_until: vec![Time::ZERO; table.len()],
+            table,
+            inflight: IdMap::default(),
             stats,
             fault_windows: Vec::new(),
         }
@@ -115,24 +93,14 @@ impl AnalyticalNet {
 
     /// Number of distinct physical links.
     pub fn num_links(&self) -> usize {
-        self.links.len()
+        self.table.len()
     }
 
-    fn resolve(&self, route: &Route) -> Result<Vec<usize>, NetworkError> {
-        route
-            .hops()
-            .iter()
-            .map(|h| {
-                self.index
-                    .get(&key_of(h.from, h.to, h.channel))
-                    .copied()
-                    .ok_or(NetworkError::UnknownLink {
-                        from: h.from,
-                        to: h.to,
-                        channel: h.channel,
-                    })
-            })
-            .collect()
+    /// The dense link of `s`'s current hop (validated at `send`).
+    fn current_link(&self, s: &MsgState) -> usize {
+        self.table
+            .lookup(&s.route.hops()[s.hop])
+            .expect("route validated at send")
     }
 
     /// Hardware (cut-through) routing: one event per hop, fired when the
@@ -150,17 +118,17 @@ impl AnalyticalNet {
                 .get(&msg_id)
                 .expect("start_cut_through_hop on unknown message");
             (
-                s.path[s.hop],
+                self.current_link(s),
                 s.hop,
                 s.msg.bytes,
-                s.path.len(),
+                s.route.len(),
                 s.prev_finish,
                 s.prev_latency,
             )
         };
-        let class = self.links[link_idx].class;
+        let class = self.table.spec(link_idx).class;
         let params = *self.config.link(class);
-        let raw_start = q.now().max(self.links[link_idx].busy_until);
+        let raw_start = q.now().max(self.busy_until[link_idx]);
         let (start, factor) = self.apply_link_faults(link_idx, raw_start);
         let ser = self
             .config
@@ -173,7 +141,7 @@ impl AnalyticalNet {
             prev_finish + prev_latency
         };
         let finish = (start + ser).max(tail_arrival);
-        self.links[link_idx].busy_until = finish;
+        self.busy_until[link_idx] = finish;
         {
             let s = self.inflight.get_mut(&msg_id).expect("just looked up");
             if hop == 0 {
@@ -204,18 +172,18 @@ impl AnalyticalNet {
                 .inflight
                 .get(&msg_id)
                 .expect("start_hop on unknown message");
-            (s.path[s.hop], s.hop, s.msg.bytes)
+            (self.current_link(s), s.hop, s.msg.bytes)
         };
-        let class = self.links[link_idx].class;
+        let class = self.table.spec(link_idx).class;
         let params = *self.config.link(class);
         let wire = params.wire_bytes(payload);
-        let raw_start = q.now().max(self.links[link_idx].busy_until);
+        let raw_start = q.now().max(self.busy_until[link_idx]);
         let (start, factor) = self.apply_link_faults(link_idx, raw_start);
         let ser = self
             .config
             .clock
             .serialization_time(wire, params.gbps * factor);
-        self.links[link_idx].busy_until = start + ser;
+        self.busy_until[link_idx] = start + ser;
         if hop == 0 {
             self.inflight
                 .get_mut(&msg_id)
@@ -246,7 +214,7 @@ impl Backend for AnalyticalNet {
                 route_dst: route.dst(),
             });
         }
-        let path = self.resolve(&route)?;
+        self.table.validate(&route)?;
         if self.inflight.contains_key(&msg.id.0) {
             return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
         }
@@ -255,7 +223,7 @@ impl Backend for AnalyticalNet {
             msg.id.0,
             MsgState {
                 msg,
-                path,
+                route,
                 hop: 0,
                 injected: now,
                 first_tx_start: now,
@@ -285,7 +253,7 @@ impl Backend for AnalyticalNet {
             .get_mut(&msg.0)
             .expect("HopArrive for unknown message");
         state.hop += 1;
-        if state.hop < state.path.len() {
+        if state.hop < state.route.len() {
             match self.config.routing {
                 crate::RoutingMode::Software => self.start_hop(queue, msg.0),
                 crate::RoutingMode::Hardware => self.start_cut_through_hop(queue, msg.0),
@@ -330,11 +298,12 @@ impl Backend for AnalyticalNet {
             self.fault_windows.clear();
             return;
         }
-        let mut windows = vec![LinkWindows::default(); self.links.len()];
-        for (&(from, to, _dim, _ring), &idx) in &self.index {
-            windows[idx] = plan.windows_for(NodeId(from), NodeId(to));
-        }
-        self.fault_windows = windows;
+        self.fault_windows = self
+            .table
+            .specs()
+            .iter()
+            .map(|l| plan.windows_for(l.from, l.to))
+            .collect();
     }
 }
 
@@ -343,7 +312,7 @@ mod fault_tests {
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn simple_ring() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
@@ -458,7 +427,7 @@ mod fault_tests {
 mod tests {
     use super::*;
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     /// A 1x4x1 ring with easy numbers: 10 GB/s (10 B/cyc), zero-ish latency.
     fn simple_ring() -> (LogicalTopology, NetworkConfig) {
@@ -639,7 +608,7 @@ mod hardware_routing_tests {
     use super::*;
     use crate::RoutingMode;
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring(routing: RoutingMode) -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 1, 1).unwrap());

@@ -36,28 +36,21 @@ mod flit;
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::{
-    Arrival, Backend, Message, NetEvent, NetScheduler, NetStats, NetworkConfig, NetworkError,
+    Arrival, Backend, LinkTable, Message, NetEvent, NetScheduler, NetStats, NetworkConfig,
+    NetworkError,
 };
-use astra_des::Time;
-use astra_topology::{Channel, LinkClass, LogicalTopology, NodeId, Route};
-use flit::{FlitsOf, PacketState, QueuedFlit};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-type LinkKey = (usize, usize, usize, usize);
-
-fn key_of(from: NodeId, to: NodeId, ch: Channel) -> LinkKey {
-    (from.index(), to.index(), ch.dim.index(), ch.ring)
-}
+use astra_des::{IdMap, Time};
+use astra_topology::{LinkClass, LogicalTopology, Route};
+use flit::{FlitQueue, FlitQueues, FlitsOf, PacketState, QueuedFlit};
 
 #[derive(Debug)]
 struct VcState {
-    queue: VecDeque<QueuedFlit>,
+    queue: FlitQueue,
     credits: usize,
 }
 
 #[derive(Debug)]
 struct GLink {
-    class: LinkClass,
     busy: bool,
     rr_cursor: usize,
     vcs: Vec<VcState>,
@@ -80,10 +73,13 @@ struct GMsgState {
 #[derive(Debug)]
 pub struct GarnetNet {
     config: NetworkConfig,
+    table: LinkTable,
+    /// Per-link router state, by dense link index.
     links: Vec<GLink>,
-    index: BTreeMap<LinkKey, usize>,
-    packets: HashMap<u64, PacketState>,
-    messages: HashMap<u64, GMsgState>,
+    /// The cells of every VC queue in `links`.
+    flits: FlitQueues,
+    packets: IdMap<u64, PacketState>,
+    messages: IdMap<u64, GMsgState>,
     next_packet_id: u64,
     stats: NetStats,
     /// Per-link fault windows, parallel to `links`; empty means no plan is
@@ -101,33 +97,28 @@ impl GarnetNet {
         if let Err(e) = config.validate() {
             panic!("invalid network config: {e}");
         }
-        let mut links = Vec::new();
-        let mut index = BTreeMap::new();
-        for spec in topo.links() {
-            let k = key_of(spec.from, spec.to, spec.channel);
-            index.entry(k).or_insert_with(|| {
-                links.push(GLink {
-                    class: spec.class,
-                    busy: false,
-                    rr_cursor: 0,
-                    vcs: (0..config.vcs_per_vnet)
-                        .map(|_| VcState {
-                            queue: VecDeque::new(),
-                            credits: config.buffers_per_vc,
-                        })
-                        .collect(),
-                    stalled_until: Time::ZERO,
-                });
-                links.len() - 1
-            });
-        }
-        let stats = NetStats::with_links(links.len());
+        let table = LinkTable::new(topo);
+        let links = (0..table.len())
+            .map(|_| GLink {
+                busy: false,
+                rr_cursor: 0,
+                vcs: (0..config.vcs_per_vnet)
+                    .map(|_| VcState {
+                        queue: FlitQueue::default(),
+                        credits: config.buffers_per_vc,
+                    })
+                    .collect(),
+                stalled_until: Time::ZERO,
+            })
+            .collect();
+        let stats = NetStats::with_links(table.len());
         GarnetNet {
             config: *config,
+            table,
             links,
-            index,
-            packets: HashMap::new(),
-            messages: HashMap::new(),
+            flits: FlitQueues::default(),
+            packets: IdMap::default(),
+            messages: IdMap::default(),
             next_packet_id: 0,
             stats,
             fault_windows: Vec::new(),
@@ -136,24 +127,7 @@ impl GarnetNet {
 
     /// Number of distinct physical links.
     pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
-    fn resolve(&self, route: &Route) -> Result<Vec<usize>, NetworkError> {
-        route
-            .hops()
-            .iter()
-            .map(|h| {
-                self.index
-                    .get(&key_of(h.from, h.to, h.channel))
-                    .copied()
-                    .ok_or(NetworkError::UnknownLink {
-                        from: h.from,
-                        to: h.to,
-                        channel: h.channel,
-                    })
-            })
-            .collect()
+        self.table.len()
     }
 
     /// Serialization time of one flit on `class` links at `factor` × the
@@ -217,10 +191,13 @@ impl GarnetNet {
         let Some(vc) = chosen else { return };
         let link = &mut self.links[link_idx];
         link.rr_cursor = (vc + 1) % nvcs;
-        let flit = link.vcs[vc].queue.pop_front().expect("non-empty checked");
+        let flit = self
+            .flits
+            .pop_front(&mut link.vcs[vc].queue)
+            .expect("non-empty checked");
         link.vcs[vc].credits -= 1;
         link.busy = true;
-        let class = link.class;
+        let class = self.table.spec(link_idx).class;
         let ser = self.flit_ser_time(class, factor);
         let latency = self.config.link(class).latency;
         self.stats
@@ -266,12 +243,12 @@ impl GarnetNet {
         arrivals: &mut Vec<Arrival>,
     ) {
         let pkt = self.packets.get(&packet_id).expect("packet exists");
-        let hop = pkt
-            .path
+        let hops = pkt.route.hops();
+        let hop = hops
             .iter()
-            .position(|&l| l == link_idx)
+            .position(|h| self.table.carries(link_idx, h))
             .expect("arrived on a link of its own path");
-        let last_hop = hop + 1 == pkt.path.len();
+        let last_hop = hop + 1 == hops.len();
         let vc = pkt.vc;
         if last_hop {
             // Consume at destination: buffer vacates after the ejection takes
@@ -309,7 +286,10 @@ impl GarnetNet {
             }
         } else {
             // Forward through the router pipeline onto the next link's queue.
-            let next_link = pkt.path[hop + 1];
+            let next_link = self
+                .table
+                .lookup(&hops[hop + 1])
+                .expect("route validated at send");
             let delay = self.config.router_latency;
             // We model the router traversal as a fixed delay before the flit
             // becomes eligible at the next transmitter; the flit keeps
@@ -323,7 +303,8 @@ impl GarnetNet {
             // Router pipeline: enqueue after `delay`. We reuse FlitArrive
             // scheduling by enqueueing directly here if delay is zero.
             if delay == Time::ZERO {
-                self.links[next_link].vcs[vc].queue.push_back(flit);
+                self.flits
+                    .push_back(&mut self.links[next_link].vcs[vc].queue, flit);
                 self.try_transmit(q, next_link);
             } else {
                 // Encode the "enters next queue" moment as a LinkReady probe:
@@ -331,7 +312,8 @@ impl GarnetNet {
                 // delay by scheduling the transmit attempt later. Since the
                 // queue is FIFO and the link may be busy anyway, adding the
                 // delay to eligibility via a delayed enqueue keeps ordering.
-                self.links[next_link].vcs[vc].queue.push_back(flit);
+                self.flits
+                    .push_back(&mut self.links[next_link].vcs[vc].queue, flit);
                 q.schedule_in(delay, NetEvent::LinkReady { link: next_link });
             }
         }
@@ -356,14 +338,15 @@ impl Backend for GarnetNet {
                 route_dst: route.dst(),
             });
         }
-        let path = self.resolve(&route)?;
+        self.table.validate(&route)?;
         if self.messages.contains_key(&msg.id.0) {
             return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
         }
 
         // Packetize by the first hop's link class (messages are packetized
         // once, at injection).
-        let first_class = self.links[path[0]].class;
+        let first_link = self.table.lookup(&route.hops()[0])?;
+        let first_class = self.table.spec(first_link).class;
         let packet_bytes = self.config.link(first_class).packet_bytes;
         let flits = FlitsOf::new(msg.bytes, packet_bytes, self.config.flit_bytes);
         self.messages.insert(
@@ -377,7 +360,6 @@ impl Backend for GarnetNet {
         );
 
         let nvcs = self.config.vcs_per_vnet;
-        let first_link = path[0];
         for pkt_flits in flits.packets() {
             let packet_id = self.next_packet_id;
             self.next_packet_id += 1;
@@ -386,17 +368,20 @@ impl Backend for GarnetNet {
                 packet_id,
                 PacketState {
                     msg: msg.id.0,
-                    path: path.clone(),
+                    route: route.clone(),
                     vc,
                     flits_remaining: pkt_flits,
                 },
             );
             for seq in 0..pkt_flits {
-                self.links[first_link].vcs[vc].queue.push_back(QueuedFlit {
-                    packet: packet_id,
-                    seq,
-                    upstream: None,
-                });
+                self.flits.push_back(
+                    &mut self.links[first_link].vcs[vc].queue,
+                    QueuedFlit {
+                        packet: packet_id,
+                        seq,
+                        upstream: None,
+                    },
+                );
             }
         }
         self.try_transmit(queue, first_link);
@@ -486,11 +471,12 @@ impl Backend for GarnetNet {
             self.fault_windows.clear();
             return;
         }
-        let mut windows = vec![LinkWindows::default(); self.links.len()];
-        for (&(from, to, _dim, _ring), &idx) in &self.index {
-            windows[idx] = plan.windows_for(NodeId(from), NodeId(to));
-        }
-        self.fault_windows = windows;
+        self.fault_windows = self
+            .table
+            .specs()
+            .iter()
+            .map(|l| plan.windows_for(l.from, l.to))
+            .collect();
     }
 }
 
@@ -499,7 +485,7 @@ mod fault_tests {
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
@@ -586,7 +572,7 @@ mod fault_tests {
 mod tests {
     use super::*;
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());

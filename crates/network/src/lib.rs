@@ -55,6 +55,7 @@ mod config;
 mod error;
 pub mod faults;
 pub mod garnet;
+mod links;
 mod message;
 mod stats;
 
@@ -63,6 +64,7 @@ pub use config::{ConfigError, LinkParams, NetworkConfig, RoutingMode};
 pub use error::NetworkError;
 pub use faults::{FaultError, FaultKind, FaultPlan, LinkFault, LinkWindows, LossSpec, Straggler};
 pub use garnet::GarnetNet;
+pub use links::LinkTable;
 pub use message::{Arrival, Message, MsgId};
 pub use stats::{LinkStats, NetStats};
 

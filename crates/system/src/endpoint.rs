@@ -139,20 +139,21 @@ pub(crate) fn receive_cost(
 }
 
 /// Feeds a received `step` into the chunk's phase machine and drains any
-/// previously deferred steps it unblocks.
+/// previously deferred steps it unblocks, appending every resulting send
+/// to `sends`. Returns whether the phase completed.
 ///
-/// Returns `None` when the step itself had to be deferred (only possible
-/// under an active fault plan, where retransmissions and reroutes let a
-/// step overtake its predecessor); otherwise `Some((phase_completed,
-/// sends_to_issue))`.
+/// Under an active fault plan a step that overtook its predecessor is held
+/// back in `deferred` (appending nothing); without one, out-of-order steps
+/// stay hard errors.
 pub(crate) fn absorb_step(
     machine: &mut PhaseMachine,
     deferred: &mut Vec<u32>,
     step: u32,
     faults_active: bool,
-) -> Result<Option<(bool, Vec<SendCmd>)>, SystemError> {
-    let reaction = match machine.on_receive(step) {
-        Ok(r) => r,
+    sends: &mut Vec<SendCmd>,
+) -> Result<bool, SystemError> {
+    let mut completed = match machine.on_receive(step, sends) {
+        Ok(completed) => completed,
         // Under a fault plan, a step can overtake its predecessor: the
         // predecessor may be stalled behind a retransmission timeout or
         // a longer rerouted path. Hold the early step back and retry it
@@ -160,23 +161,20 @@ pub(crate) fn absorb_step(
         // check stands — out-of-order steps stay hard errors.
         Err(CollectiveError::UnexpectedStep { .. }) if faults_active => {
             deferred.push(step);
-            return Ok(None);
+            return Ok(false);
         }
         Err(e) => return Err(e.into()),
     };
-    let mut completed = reaction.completed;
-    let mut sends = reaction.sends;
     // Each accepted step may unblock held-back successors; drain until
     // a full sweep makes no progress.
     loop {
         let mut progressed = false;
         let mut i = 0;
         while i < deferred.len() {
-            match machine.on_receive(deferred[i]) {
-                Ok(r) => {
+            match machine.on_receive(deferred[i], sends) {
+                Ok(done) => {
                     deferred.swap_remove(i);
-                    completed |= r.completed;
-                    sends.extend(r.sends);
+                    completed |= done;
                     progressed = true;
                 }
                 Err(CollectiveError::UnexpectedStep { .. }) => i += 1,
@@ -191,7 +189,7 @@ pub(crate) fn absorb_step(
         !completed || deferred.is_empty(),
         "phase completed with steps still deferred"
     );
-    Ok(Some((completed, sends)))
+    Ok(completed)
 }
 
 #[cfg(test)]

@@ -4,16 +4,32 @@
 //! topologies"), paced bursts, and the final injection gate in front of
 //! the network backend.
 //!
+//! Synthesized routes are cached per [`RouteKey`]: a route is a pure
+//! function of the target, the phase's dimension and ring options, the
+//! channel and the sending NPU, so each one is built once and every later
+//! send clones the shared hop list. Only the time-dependent reroute around
+//! down links (`Transport::maybe_reroute`) runs per send.
+//!
 //! This is the send half of the staged system layer; the receive half
 //! lives in `endpoint`. Both are sequenced by the event loop in `sim`.
 
 use crate::sim::{NetQ, SysEvent, SystemSim};
 use crate::{BackendKind, InjectionPolicy, SystemConfig, SystemError, Tag};
-use astra_collectives::{SendCmd, Target};
+use astra_collectives::{PhaseSpec, SendCmd, Target};
 use astra_des::Time;
 use astra_network::{AnalyticalNet, Backend, GarnetNet, Message, NetworkConfig};
-use astra_topology::{LogicalTopology, Mapping, NodeId, PathFinder, Route};
+use astra_topology::{Dim, LogicalTopology, Mapping, NodeId, PathFinder, Route};
 use std::fmt;
+
+/// Everything a synthesized route depends on; the key of the route cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct RouteKey {
+    target: Target,
+    dim: Dim,
+    channel: usize,
+    on_rings: bool,
+    npu: usize,
+}
 
 /// Logical→physical overlay state (§IV-B: "map a single logical topology
 /// on different physical topologies").
@@ -84,7 +100,81 @@ impl SystemSim {
         Ok(sim)
     }
 
+    /// The final route — after the overlay, before any reroute — of
+    /// `npu`'s send to `target` on channel `channel` of phase `spec`,
+    /// from the cache or synthesized (and cached) on first use.
+    pub(crate) fn route_for(
+        &mut self,
+        npu: usize,
+        spec: &PhaseSpec,
+        channel: usize,
+        target: Target,
+    ) -> Result<Route, SystemError> {
+        let key = RouteKey {
+            target,
+            dim: spec.dim,
+            channel,
+            on_rings: spec.on_rings,
+            npu,
+        };
+        if let Some(route) = self.routes.get(&key) {
+            return Ok(route.clone());
+        }
+        let route = self.synthesize_route(&key)?;
+        self.routes.insert(key, route.clone());
+        Ok(route)
+    }
+
+    /// Builds the route `key` names: the logical route on `self.topo`,
+    /// then, under an overlay, the shortest physical path to the mapped
+    /// destination (spread over parallel links by channel).
+    fn synthesize_route(&mut self, key: &RouteKey) -> Result<Route, SystemError> {
+        let RouteKey {
+            target,
+            dim,
+            channel,
+            on_rings,
+            npu,
+        } = *key;
+        let me = NodeId(npu);
+        let route = match target {
+            Target::RingNext => self.topo.ring_route(dim, channel, me, 1)?,
+            Target::RingDistance(d) => self.topo.ring_route(dim, channel, me, d)?,
+            Target::GroupOffset(off) => {
+                let group = self.topo.ring(dim, channel, me)?;
+                let dst = group.ahead(me, off)?;
+                self.topo.switch_route(me, dst, channel)?
+            }
+            Target::GroupXor(mask) => {
+                let group = self.topo.ring(dim, channel, me)?;
+                let pos = group.position(me)?;
+                let partner = group.members()[pos ^ mask];
+                if on_rings {
+                    // Software-routed along the ring direction.
+                    let dist = ((pos ^ mask) + group.size() - pos) % group.size();
+                    self.topo.ring_route(dim, channel, me, dist)?
+                } else {
+                    self.topo.switch_route(me, partner, channel)?
+                }
+            }
+        };
+        // Under an overlay, the logical route only determines the
+        // destination; the message physically travels a shortest path on
+        // the real fabric.
+        match &mut self.overlay {
+            None => Ok(route),
+            Some(o) => {
+                let psrc = o.mapping.apply(me);
+                let pdst = o.mapping.apply(route.dst());
+                Ok(o.finder.route(psrc, pdst, channel)?)
+            }
+        }
+    }
+
     /// Resolves and injects a batch of sends from a phase machine.
+    ///
+    /// Every route is resolved before any message is injected, so a
+    /// synthesis error injects nothing.
     pub(crate) fn issue_sends(
         &mut self,
         npu: usize,
@@ -102,62 +192,28 @@ impl SystemSim {
             .ok_or(SystemError::UnknownCollective { coll })?;
         let spec = cs.plan.phases()[phase as usize];
         let channel = chunk as usize % spec.concurrency.max(1);
-        let me = NodeId(npu);
-        let mut routes: Vec<(Route, u64, u32)> = Vec::with_capacity(sends.len());
         for s in sends {
-            let route = match s.target {
-                Target::RingNext => self.topo.ring_route(spec.dim, channel, me, 1)?,
-                Target::RingDistance(d) => self.topo.ring_route(spec.dim, channel, me, d)?,
-                Target::GroupOffset(off) => {
-                    let group = self.topo.ring(spec.dim, channel, me)?;
-                    let dst = group.ahead(me, off)?;
-                    self.topo.switch_route(me, dst, channel)?
-                }
-                Target::GroupXor(mask) => {
-                    let group = self.topo.ring(spec.dim, channel, me)?;
-                    let pos = group.position(me)?;
-                    let partner = group.members()[pos ^ mask];
-                    if spec.on_rings {
-                        // Software-routed along the ring direction.
-                        let dist = ((pos ^ mask) + group.size() - pos) % group.size();
-                        self.topo.ring_route(spec.dim, channel, me, dist)?
-                    } else {
-                        self.topo.switch_route(me, partner, channel)?
-                    }
-                }
-            };
-            routes.push((route, s.bytes, s.step));
+            self.route_for(npu, &spec, channel, s.target)?;
         }
         // Under the `normal` injection policy, bursts are paced: each
         // subsequent message waits one first-link serialization time.
-        let gap = if self.cfg.injection == InjectionPolicy::Normal && routes.len() > 1 {
+        let gap = if self.cfg.injection == InjectionPolicy::Normal && sends.len() > 1 {
             let params = self.net_cfg.link(spec.class);
-            let wire = params.wire_bytes(routes[0].1);
+            let wire = params.wire_bytes(sends[0].bytes);
             self.net_cfg.clock.serialization_time(wire, params.gbps)
         } else {
             Time::ZERO
         };
-        for (k, (route, bytes, step)) in routes.into_iter().enumerate() {
+        for (k, s) in sends.iter().enumerate() {
+            let route = self.route_for(npu, &spec, channel, s.target)?;
             let tag = Tag {
                 coll,
                 chunk,
                 phase,
-                step,
+                step: s.step,
             }
             .pack();
-            // Under an overlay, the logical route only determines the
-            // destination; the message physically travels a shortest path
-            // on the real fabric (spread over parallel links by channel).
-            let (src, route) = match &mut self.overlay {
-                None => (me, route),
-                Some(o) => {
-                    let psrc = o.mapping.apply(me);
-                    let pdst = o.mapping.apply(route.dst());
-                    let proute = o.finder.route(psrc, pdst, channel)?;
-                    (psrc, proute)
-                }
-            };
-            let msg = Message::new(self.next_msg, src, route.dst(), bytes, tag);
+            let msg = Message::new(self.next_msg, route.src(), route.dst(), s.bytes, tag);
             self.next_msg += 1;
             let delay = gap.scale(k as u64, 1);
             if delay == Time::ZERO {
@@ -197,5 +253,180 @@ impl SystemSim {
         }
         self.net.send(&mut NetQ(&mut self.queue), msg, route)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use astra_collectives::{plan, Algorithm, CollectiveOp};
+    use astra_topology::{HierAllToAll, Torus3d};
+
+    fn sim(topo: LogicalTopology) -> SystemSim {
+        SystemSim::new(
+            topo,
+            SystemConfig::default(),
+            &NetworkConfig::default(),
+            BackendKind::Analytical,
+        )
+    }
+
+    fn phases(topo: &LogicalTopology, op: CollectiveOp) -> Vec<PhaseSpec> {
+        plan(topo, op, Algorithm::Baseline, None)
+            .unwrap()
+            .phases()
+            .to_vec()
+    }
+
+    /// `route_for` equals `fresh` on the miss that fills the cache and on
+    /// the hit that reads it back.
+    fn check(
+        sim: &mut SystemSim,
+        npu: usize,
+        spec: &PhaseSpec,
+        ch: usize,
+        t: Target,
+        fresh: Route,
+    ) {
+        for pass in ["miss", "hit"] {
+            let cached = sim.route_for(npu, spec, ch, t).unwrap();
+            assert_eq!(
+                cached, fresh,
+                "{pass}: npu {npu} {t:?} on {:?}#{ch}",
+                spec.dim
+            );
+        }
+    }
+
+    #[test]
+    fn cached_ring_routes_equal_fresh_ones() {
+        let topo = LogicalTopology::torus(Torus3d::new(2, 4, 4, 2, 2, 2).unwrap());
+        let mut s = sim(topo.clone());
+        let mut keys = 0;
+        for spec in phases(&topo, CollectiveOp::AllReduce) {
+            assert!(spec.on_rings);
+            for ch in 0..spec.concurrency {
+                for npu in 0..topo.num_npus() {
+                    let me = NodeId(npu);
+                    let ring = topo.ring(spec.dim, ch, me).unwrap();
+                    let pos = ring.position(me).unwrap();
+                    let n = ring.size();
+                    check(
+                        &mut s,
+                        npu,
+                        &spec,
+                        ch,
+                        Target::RingNext,
+                        ring.route_from(me, 1).unwrap(),
+                    );
+                    keys += 1;
+                    for d in 1..n {
+                        let fresh = topo.ring_route(spec.dim, ch, me, d).unwrap();
+                        check(&mut s, npu, &spec, ch, Target::RingDistance(d), fresh);
+                        keys += 1;
+                    }
+                    // Halving-doubling partners, software-routed along the ring.
+                    let mut mask = 1;
+                    while mask < n {
+                        let fresh = ring.route_from(me, ((pos ^ mask) + n - pos) % n).unwrap();
+                        check(&mut s, npu, &spec, ch, Target::GroupXor(mask), fresh);
+                        keys += 1;
+                        mask <<= 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(s.routes.len(), keys, "one cache entry per distinct key");
+    }
+
+    #[test]
+    fn cached_switch_routes_equal_fresh_ones() {
+        let topo = LogicalTopology::alltoall(HierAllToAll::new(2, 4, 2, 3).unwrap());
+        let mut s = sim(topo.clone());
+        let spec = phases(&topo, CollectiveOp::AllToAll)
+            .into_iter()
+            .find(|p| p.dim == Dim::Package)
+            .expect("alltoall plans a package phase");
+        let switched = PhaseSpec {
+            on_rings: false,
+            ..spec
+        };
+        for ch in 0..spec.concurrency {
+            for npu in 0..topo.num_npus() {
+                let me = NodeId(npu);
+                let group = topo.ring(spec.dim, ch, me).unwrap();
+                let pos = group.position(me).unwrap();
+                for off in 1..group.size() {
+                    let dst = group.ahead(me, off).unwrap();
+                    let fresh = topo.switch_route(me, dst, ch).unwrap();
+                    check(&mut s, npu, &spec, ch, Target::GroupOffset(off), fresh);
+                }
+                let mut mask = 1;
+                while mask < group.size() {
+                    let partner = group.members()[pos ^ mask];
+                    let fresh = topo.switch_route(me, partner, ch).unwrap();
+                    check(&mut s, npu, &switched, ch, Target::GroupXor(mask), fresh);
+                    mask <<= 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_options_are_part_of_the_key() {
+        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+        let mut s = sim(topo.clone());
+        let spec = phases(&topo, CollectiveOp::AllReduce)[0];
+        let off_rings = PhaseSpec {
+            on_rings: false,
+            ..spec
+        };
+        let on = s.route_for(0, &spec, 0, Target::GroupXor(2)).unwrap();
+        assert_eq!(on.len(), 2, "software-routed two hops along the ring");
+        // Off the rings a torus has no switch to route through; the cached
+        // ring route must not be served for it.
+        assert!(s.route_for(0, &off_rings, 0, Target::GroupXor(2)).is_err());
+    }
+
+    #[test]
+    fn synthesis_errors_are_not_cached() {
+        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+        let mut s = sim(topo.clone());
+        let spec = phases(&topo, CollectiveOp::AllReduce)[0];
+        for _ in 0..2 {
+            assert!(s.route_for(0, &spec, 0, Target::RingDistance(4)).is_err());
+        }
+        assert!(s.routes.is_empty());
+    }
+
+    #[test]
+    fn cached_overlay_routes_equal_fresh_physical_paths() {
+        // A 2x4 logical torus laid onto an 8-ring with a shuffled mapping.
+        let logical = LogicalTopology::torus(Torus3d::new(2, 4, 1, 1, 1, 1).unwrap());
+        let physical = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
+        let perm = vec![3, 0, 6, 1, 7, 2, 5, 4];
+        let mapping = Mapping::from_permutation(perm).unwrap();
+        let mut s = SystemSim::with_overlay(
+            logical.clone(),
+            &physical,
+            mapping.clone(),
+            SystemConfig::default(),
+            &NetworkConfig::default(),
+            BackendKind::Analytical,
+        )
+        .unwrap();
+        let mut finder = PathFinder::new(&physical);
+        for spec in phases(&logical, CollectiveOp::AllReduce) {
+            for ch in 0..spec.concurrency {
+                for npu in 0..logical.num_npus() {
+                    let me = NodeId(npu);
+                    let dst = logical.ring_route(spec.dim, ch, me, 1).unwrap().dst();
+                    let fresh = finder
+                        .route(mapping.apply(me), mapping.apply(dst), ch)
+                        .unwrap();
+                    check(&mut s, npu, &spec, ch, Target::RingNext, fresh);
+                }
+            }
+        }
     }
 }

@@ -4,26 +4,36 @@
 //! queue and the public driving API, and delegates each concern to its
 //! module: chunk scheduling to [`crate::scheduler`], endpoint/local-update
 //! modeling to `endpoint`, loss/retransmit/reroute machinery to
-//! `transport`. Deferred sends ride the queue as `u32` slab keys
-//! ([`astra_des::SlabKey`]) into the transport's payload arena, so the hot
-//! loop performs no per-event heap allocation.
+//! `transport`.
+//!
+//! In steady state the hot loop performs no per-event heap allocation:
+//! deferred sends ride the queue as `u32` slab keys
+//! ([`astra_des::SlabKey`]) into the transport's payload arena; phase
+//! machines append their sends into one reused buffer (`sends_scratch`),
+//! as backends do with arrivals (`arrivals_scratch`); routes come from a
+//! cache of shared hop lists (see `routing`); and every per-event map is an
+//! [`astra_des::IdMap`] whose capacity, once grown, is reused. Allocation
+//! happens only when something is seen for the first time: a new route, a
+//! new high-water mark of in-flight state, a new collective's bookkeeping
+//! (including each chunk's buffer of messages that arrived before the
+//! chunk entered their phase).
 
 use crate::endpoint::{self, ChunkState, CollState};
-use crate::routing::Overlay;
+use crate::routing::{Overlay, RouteKey};
 use crate::scheduler::{Npu, QueuedChunk};
 use crate::transport::Transport;
 use crate::{
     BackendKind, CallbackId, CollId, CollReport, CollectiveRequest, Notification, PhaseSpan,
     SystemConfig, SystemError, SystemStats, Tag,
 };
-use astra_collectives::{plan_with_intra, PhaseMachine};
-use astra_des::{EventQueue, SlabKey, Time};
+use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
+use astra_des::{EventQueue, IdMap, SlabKey, Time};
 use astra_network::{
     AnalyticalNet, Arrival, Backend, FaultError, FaultPlan, GarnetNet, NetEvent, NetScheduler,
     NetworkConfig,
 };
-use astra_topology::{LogicalTopology, NodeId};
-use std::collections::{HashMap, VecDeque};
+use astra_topology::{LogicalTopology, NodeId, Route};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Master event type: network events plus system-layer events. Deferred
@@ -74,8 +84,10 @@ pub struct SystemSim {
     pub(crate) overlay: Option<Overlay>,
     pub(crate) queue: EventQueue<SysEvent>,
     pub(crate) npus: Vec<Npu>,
-    pub(crate) colls: HashMap<u64, CollState>,
-    pub(crate) reports: HashMap<u64, CollReport>,
+    pub(crate) colls: IdMap<u64, CollState>,
+    pub(crate) reports: IdMap<u64, CollReport>,
+    /// Synthesized routes, filled lazily (see `routing`).
+    pub(crate) routes: IdMap<RouteKey, Route>,
     pub(crate) notifications: VecDeque<Notification>,
     pub(crate) stats: SystemStats,
     pub(crate) trace: Option<Vec<PhaseSpan>>,
@@ -83,6 +95,8 @@ pub struct SystemSim {
     pub(crate) next_msg: u64,
     pub(crate) next_cb: u64,
     pub(crate) arrivals_scratch: Vec<Arrival>,
+    /// Reused buffer the phase machines append their sends into.
+    pub(crate) sends_scratch: Vec<SendCmd>,
     pub(crate) transport: Transport,
 }
 
@@ -138,8 +152,9 @@ impl SystemSim {
             overlay: None,
             queue: EventQueue::new(),
             npus: (0..n).map(|_| Npu::new(cfg.scheduling)).collect(),
-            colls: HashMap::new(),
-            reports: HashMap::new(),
+            colls: IdMap::default(),
+            reports: IdMap::default(),
+            routes: IdMap::default(),
             notifications: VecDeque::new(),
             stats: SystemStats::default(),
             trace: None,
@@ -147,6 +162,7 @@ impl SystemSim {
             next_msg: 0,
             next_cb: 0,
             arrivals_scratch: Vec::new(),
+            sends_scratch: Vec::new(),
             transport: Transport::new(),
         }
     }
@@ -462,11 +478,15 @@ impl SystemSim {
         chunk_state.phase = phase;
         chunk_state.entered_phase_at = self.queue.now();
         let mut machine = PhaseMachine::new(&spec, chunk_state.bytes);
-        let sends = machine.start();
+        let mut sends = std::mem::take(&mut self.sends_scratch);
+        sends.clear();
+        machine.start(&mut sends);
         chunk_state.machine = Some(machine);
         let early = chunk_state.take_early(phase);
 
-        self.issue_sends(npu, coll, chunk, phase, &sends)?;
+        let issued = self.issue_sends(npu, coll, chunk, phase, &sends);
+        self.sends_scratch = sends;
+        issued?;
         for step in early {
             self.schedule_endpoint(npu, coll, chunk, phase, step)?;
         }
@@ -571,13 +591,17 @@ impl SystemSim {
         let machine = machine.as_mut().ok_or_else(|| SystemError::Protocol {
             what: format!("endpoint done for chunk {chunk} with no active phase machine"),
         })?;
-        let Some((completed, sends)) =
-            endpoint::absorb_step(machine, deferred, step, faults_active)?
-        else {
-            return Ok(());
-        };
-        self.issue_sends(npu, coll, chunk, phase, &sends)?;
-        if completed {
+        let mut sends = std::mem::take(&mut self.sends_scratch);
+        sends.clear();
+        let completed =
+            match endpoint::absorb_step(machine, deferred, step, faults_active, &mut sends) {
+                Ok(completed) => self
+                    .issue_sends(npu, coll, chunk, phase, &sends)
+                    .map(|()| completed),
+                Err(e) => Err(e),
+            };
+        self.sends_scratch = sends;
+        if completed? {
             self.on_phase_complete(npu, coll, chunk, phase)?;
         }
         Ok(())

@@ -10,10 +10,9 @@
 
 use crate::{SystemError, SystemStats};
 use astra_des::rng::SplitMix64;
-use astra_des::{Slab, SlabKey, Time};
+use astra_des::{IdSet, Slab, SlabKey, Time};
 use astra_network::{FaultPlan, Message, MsgId};
 use astra_topology::{Dim, LogicalTopology, NodeId, PathFinder, Route};
-use std::collections::HashSet;
 
 /// A message waiting in the arena for a deferred injection (paced bursts)
 /// or a retransmission timer.
@@ -45,7 +44,7 @@ pub(crate) struct Transport {
     /// Seeded RNG for loss decisions; reseeded from the plan on install.
     loss_rng: SplitMix64,
     /// Messages injected but destined to drop: their arrival is discarded.
-    doomed: HashSet<MsgId>,
+    doomed: IdSet<MsgId>,
     /// Exclusion pathfinder cached for the current set of down links.
     reroute_cache: Option<(Vec<(NodeId, NodeId)>, PathFinder)>,
     /// In-flight payloads of deferred injections and retransmissions,
@@ -58,7 +57,7 @@ impl Transport {
         Transport {
             faults: FaultPlan::default(),
             loss_rng: SplitMix64::new(0),
-            doomed: HashSet::new(),
+            doomed: IdSet::default(),
             reroute_cache: None,
             pending: Slab::new(),
         }
@@ -104,6 +103,10 @@ impl Transport {
     /// (The wire bandwidth was spent either way — only the payload is
     /// discarded on arrival.)
     pub(crate) fn consume_doomed(&mut self, id: &MsgId) -> bool {
+        // No loss plan, or nothing lost in flight: skip hashing the id.
+        if self.doomed.is_empty() {
+            return false;
+        }
         self.doomed.remove(id)
     }
 

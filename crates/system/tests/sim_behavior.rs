@@ -731,3 +731,35 @@ mod hd_behavior {
         );
     }
 }
+
+mod event_count {
+    use super::*;
+
+    /// A ring all-reduce of N NPUs in `set_splits` chunks sends
+    /// N·chunks·Σ_phases 2(ring_n − 1) single-hop messages, and each costs
+    /// exactly two events: the backend's `HopArrive` and the receiver's
+    /// `EndpointDone`. Events therefore grow with ring length as well as
+    /// with N.
+    #[test]
+    fn ring_all_reduce_costs_two_events_per_single_hop_message() {
+        let chunks = u64::from(SystemConfig::default().set_splits);
+        for (local, horizontal, vertical) in [(1, 8, 1), (1, 8, 8), (2, 8, 4)] {
+            let topo =
+                LogicalTopology::torus(Torus3d::new(local, horizontal, vertical, 2, 2, 2).unwrap());
+            let npus = topo.num_npus() as u64;
+            let mut s = sim(topo);
+            s.issue_collective(CollectiveRequest::all_reduce(1 << 20))
+                .unwrap();
+            s.run_until_idle().unwrap();
+            let per_chunk: u64 = [local, horizontal, vertical]
+                .iter()
+                .filter(|&&n| n > 1)
+                .map(|&n| 2 * (n as u64 - 1))
+                .sum();
+            let messages = npus * chunks * per_chunk;
+            let shape = format!("{local}x{horizontal}x{vertical}");
+            assert_eq!(s.stats().messages, messages, "{shape}: messages");
+            assert_eq!(s.events_processed(), 2 * messages, "{shape}: events");
+        }
+    }
+}

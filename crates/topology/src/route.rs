@@ -3,6 +3,7 @@
 use crate::{Dim, NodeId, TopologyError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Link technology class, which selects bandwidth/latency/packet parameters
 /// (Table IV distinguishes intra-package from inter-package links).
@@ -72,9 +73,13 @@ pub struct Hop {
 ///
 /// With the paper's software routing, multi-hop sends are store-and-forward
 /// relays of the whole message at each intermediate NPU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The hops are shared and immutable, so cloning a route (to cache it, park
+/// it for a retransmission or hand it to a backend) bumps a reference count
+/// instead of copying the hop list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
-    hops: Vec<Hop>,
+    hops: Arc<[Hop]>,
 }
 
 impl Route {
@@ -90,7 +95,7 @@ impl Route {
             hops.windows(2).all(|w| w[0].to == w[1].from),
             "route hops must be contiguous"
         );
-        Route { hops }
+        Route { hops: hops.into() }
     }
 
     /// The hops in traversal order.
@@ -263,6 +268,14 @@ mod tests {
         assert_eq!(route.len(), 3);
         assert_eq!(route.hops()[0].to, NodeId(3));
         assert_eq!(route.hops()[1].to, NodeId(0));
+    }
+
+    #[test]
+    fn clones_share_the_hop_list() {
+        let route = ring4().route_from(NodeId(0), 2).unwrap();
+        let copy = route.clone();
+        assert!(Arc::ptr_eq(&route.hops, &copy.hops));
+        assert_eq!(copy, route);
     }
 
     #[test]

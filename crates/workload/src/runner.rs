@@ -17,11 +17,10 @@
 //! the dependency rules require it.
 
 use crate::{CommSpec, LayerReport, TrainingReport, Workload};
-use astra_des::Time;
+use astra_des::{IdMap, IdSet, Time};
 use astra_system::{
     CallbackId, CollId, CollectiveRequest, Notification, SystemError, SystemSim,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Which training phase a collective belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,13 +73,13 @@ pub struct TrainingRunner {
     passes: u32,
     n: usize,
     states: Vec<NpuState>,
-    cb_map: HashMap<CallbackId, usize>,
+    cb_map: IdMap<CallbackId, usize>,
     /// Issue gates: how many NPUs have reached each collective's issue
     /// point; at `n` the collective is issued.
-    gates: HashMap<CollKey, usize>,
-    issued: HashMap<CollKey, CollId>,
-    keys: HashMap<CollId, CollKey>,
-    completed: HashSet<(u64, usize)>,
+    gates: IdMap<CollKey, usize>,
+    issued: IdMap<CollKey, CollId>,
+    keys: IdMap<CollId, CollKey>,
+    completed: IdSet<(u64, usize)>,
     /// Per-NPU compute-slowdown factor from the sim's fault plan
     /// (1.0 everywhere without stragglers).
     slowdowns: Vec<f64>,
@@ -114,11 +113,11 @@ impl TrainingRunner {
             passes,
             n,
             states: vec![NpuState::Done; n], // overwritten in run()
-            cb_map: HashMap::new(),
-            gates: HashMap::new(),
-            issued: HashMap::new(),
-            keys: HashMap::new(),
-            completed: HashSet::new(),
+            cb_map: IdMap::default(),
+            gates: IdMap::default(),
+            issued: IdMap::default(),
+            keys: IdMap::default(),
+            completed: IdSet::default(),
             slowdowns,
             stall_start: vec![Time::ZERO; n],
             exposed: vec![vec![Time::ZERO; layers]; n],
