@@ -11,10 +11,17 @@
 //!
 //! Design goals:
 //!
-//! * **Determinism.** Two events scheduled for the same timestamp pop in the
-//!   order they were scheduled (FIFO tie-break via a monotone sequence
-//!   number). There is no reliance on wall-clock time or hash iteration
+//! * **Determinism.** Events pop in `(time, scheduling order)` order: two
+//!   events scheduled for the same timestamp pop in the order they were
+//!   scheduled. There is no reliance on wall-clock time or hash iteration
 //!   order, so a simulation is a pure function of its inputs.
+//! * **Shaped for lockstep traffic.** Symmetric collectives advance in
+//!   waves of hundreds of events per timestamp (about 99.5% of pops share
+//!   the previous pop's timestamp), so the queue keeps one FIFO bucket per
+//!   pending timestamp and a heap over the few distinct timestamps rather
+//!   than a heap over every event. All buckets share one slab of cells
+//!   ([`Fifos`], the same type behind Garnet's virtual-channel queues), so
+//!   the steady state allocates nothing.
 //! * **Zero-cost genericity.** The queue is generic over the event payload
 //!   `E`; each simulation layer defines its own event enum.
 //! * **No interior mutability.** The kernel hands events back to the caller;
@@ -40,6 +47,7 @@
 
 mod clock;
 mod engine;
+mod fifo;
 pub mod hash;
 mod idmap;
 mod queue;
@@ -50,6 +58,7 @@ mod time;
 
 pub use clock::Clock;
 pub use engine::{Engine, Model};
+pub use fifo::{Fifo, Fifos};
 pub use idmap::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;
 pub use slab::{Slab, SlabKey};

@@ -1,31 +1,44 @@
 //! The central event queue.
+//!
+//! # Design: one FIFO per pending timestamp
+//!
+//! The simulator's traffic comes in lockstep waves: a symmetric collective
+//! advances every NPU by one step at the same simulated instant, so
+//! hundreds of events share each timestamp and about 99.5% of pops have the
+//! same timestamp as the pop before them. The queue is shaped for that:
+//!
+//! * a min-heap over the **distinct** pending timestamps (a handful to a
+//!   few hundred, where events number in the thousands);
+//! * an [`IdMap`] from each pending timestamp to its bucket, a [`Fifo`];
+//! * every bucket's payloads threaded through one shared [`Fifos`] arena,
+//!   so cells freed by pops are reused and the steady state allocates
+//!   nothing.
+//!
+//! [`EventQueue::pop`] takes the head of the earliest bucket and touches
+//! the time heap only when that bucket empties; [`EventQueue::schedule_at`]
+//! appends to its timestamp's bucket, opening one (and pushing the time
+//! onto the heap) if none is pending.
+//!
+//! # Ordering contract
+//!
+//! Events pop in `(time, seq)` order, where `seq` is the order of the
+//! `schedule_*` calls: earliest time first, and same-time events in the
+//! order they were scheduled. This holds by construction — a bucket is a
+//! FIFO, and an event scheduled at `now` while `now`'s bucket is still
+//! draining joins the back of that bucket. With the `conform-checks`
+//! feature, every pop asserts the order against an explicit `seq`.
 
-use crate::Time;
-use std::cmp::{Ordering, Reverse};
+use crate::{Fifo, Fifos, IdMap, Time};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-struct Entry<E> {
-    time: Time,
+/// A queued payload; carries its scheduling sequence number only when the
+/// `conform-checks` pop-order assert needs it.
+struct Pending<E> {
+    #[cfg(feature = "conform-checks")]
     seq: u64,
     payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// A deterministic future-event list.
@@ -33,7 +46,8 @@ impl<E> Ord for Entry<E> {
 /// Events are `(Time, E)` pairs ordered by time; same-time events pop in
 /// scheduling order (stable FIFO tie-break). The queue tracks the current
 /// simulation time [`EventQueue::now`], which advances monotonically as
-/// events are popped.
+/// events are popped. The module documentation describes the bucketed
+/// layout.
 ///
 /// # Example
 ///
@@ -48,24 +62,35 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
+    /// Every timestamp with a bucket in `buckets`, earliest on top.
+    times: BinaryHeap<Reverse<Time>>,
+    /// Each pending timestamp's FIFO; never holds an empty one.
+    buckets: IdMap<Time, Fifo>,
+    /// The cells of every bucket.
+    cells: Fifos<Pending<E>>,
     now: Time,
     popped: u64,
-    /// `(time, seq)` of the most recent pop, for the conformance harness's
-    /// monotonicity / FIFO-stability invariant (see `conform-checks`).
+    /// Next scheduling sequence number, and the `(time, seq)` of the most
+    /// recent pop, for the conformance harness's monotonicity /
+    /// FIFO-stability invariant (see `conform-checks`).
+    #[cfg(feature = "conform-checks")]
+    seq: u64,
     #[cfg(feature = "conform-checks")]
     last_pop: Option<(Time, u64)>,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
+    /// Creates an empty queue at time zero. Allocates nothing until the
+    /// first event is scheduled.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            times: BinaryHeap::new(),
+            buckets: IdMap::default(),
+            cells: Fifos::default(),
             now: Time::ZERO,
             popped: 0,
+            #[cfg(feature = "conform-checks")]
+            seq: 0,
             #[cfg(feature = "conform-checks")]
             last_pop: None,
         }
@@ -77,7 +102,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` to fire at absolute time `at`.
+    /// Schedules `payload` to fire at absolute time `at`, after every event
+    /// already scheduled for `at`.
     ///
     /// # Panics
     ///
@@ -90,13 +116,22 @@ impl<E> EventQueue<E> {
             self.now,
             at
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
+        #[cfg(feature = "conform-checks")]
+        let seq = {
+            self.seq += 1;
+            self.seq - 1
+        };
+        let pending = Pending {
+            #[cfg(feature = "conform-checks")]
             seq,
             payload,
-        }));
+        };
+        let times = &mut self.times;
+        let bucket = self.buckets.entry(at).or_insert_with(|| {
+            times.push(Reverse(at));
+            Fifo::default()
+        });
+        self.cells.push_back(bucket, pending);
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -111,41 +146,53 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing [`EventQueue::now`]
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "event heap yielded a past event");
+        let &Reverse(time) = self.times.peek()?;
+        let bucket = self
+            .buckets
+            .get_mut(&time)
+            .expect("every pending time has a bucket");
+        let pending = self
+            .cells
+            .pop_front(bucket)
+            .expect("pending buckets are never empty");
+        if bucket.is_empty() {
+            self.buckets.remove(&time);
+            self.times.pop();
+        }
+        debug_assert!(time >= self.now, "event queue yielded a past event");
         #[cfg(feature = "conform-checks")]
         {
             if let Some((last_time, last_seq)) = self.last_pop {
                 assert!(
-                    (entry.time, entry.seq) > (last_time, last_seq),
+                    (time, pending.seq) > (last_time, last_seq),
                     "conform-checks: event queue pop order violated: \
                      popped (t={}, seq={}) after (t={}, seq={})",
-                    entry.time,
-                    entry.seq,
+                    time,
+                    pending.seq,
                     last_time,
                     last_seq
                 );
             }
-            self.last_pop = Some((entry.time, entry.seq));
+            self.last_pop = Some((time, pending.seq));
         }
-        self.now = entry.time;
+        self.now = time;
         self.popped += 1;
-        Some((entry.time, entry.payload))
+        Some((time, pending.payload))
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.times.peek().map(|&Reverse(t)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.cells.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.cells.is_empty()
     }
 
     /// Total number of events popped since construction (a cheap progress /
@@ -165,7 +212,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("processed", &self.popped)
             .finish()
     }
@@ -237,5 +284,18 @@ mod tests {
         q.schedule_at(Time::from_cycles(3), 3);
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 5);
+    }
+
+    #[test]
+    fn drain_and_refill_reuses_cells() {
+        let mut q = EventQueue::new();
+        for round in 0..3u64 {
+            for i in 0..64u64 {
+                q.schedule_in(Time::from_cycles(i % 4), i);
+            }
+            while q.pop().is_some() {}
+            assert!(q.is_empty());
+            assert_eq!(q.cells.capacity_used(), 64, "round {round}");
+        }
     }
 }

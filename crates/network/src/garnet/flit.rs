@@ -1,6 +1,5 @@
 //! Packet/flit decomposition (Table II's lower rungs).
 
-use astra_des::{Slab, SlabKey};
 use astra_topology::Route;
 
 /// A flit waiting at a link transmitter.
@@ -28,76 +27,6 @@ pub(crate) struct PacketState {
     pub vc: usize,
     /// Flits not yet consumed at the destination.
     pub flits_remaining: u64,
-}
-
-/// One VC's FIFO of flits waiting at a link transmitter: a linked list
-/// threaded through the backend's shared [`FlitQueues`] arena.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FlitQueue {
-    head: Option<SlabKey>,
-    tail: Option<SlabKey>,
-    len: usize,
-}
-
-impl FlitQueue {
-    /// Whether no flit is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of waiting flits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// A queued flit and the next flit of the same VC queue.
-#[derive(Debug)]
-struct Cell {
-    flit: QueuedFlit,
-    next: Option<SlabKey>,
-}
-
-/// The cells of every VC queue of every link, in one slab arena.
-///
-/// A network has `links × vcs_per_vnet` queues (Table IV: 50 VCs), most
-/// of them empty most of the time. Giving each its own growable buffer
-/// would allocate the first time any one of them is used; sharing one
-/// arena allocates only when the total number of queued flits reaches a
-/// new peak, and cells freed by a pop are reused by the next push.
-#[derive(Debug, Default)]
-pub(crate) struct FlitQueues {
-    cells: Slab<Cell>,
-}
-
-impl FlitQueues {
-    /// Appends `flit` to the back of `queue`.
-    pub fn push_back(&mut self, queue: &mut FlitQueue, flit: QueuedFlit) {
-        let key = self.cells.insert(Cell { flit, next: None });
-        match queue.tail {
-            Some(tail) => {
-                self.cells
-                    .get_mut(tail)
-                    .expect("queue tail is a live cell")
-                    .next = Some(key);
-            }
-            None => queue.head = Some(key),
-        }
-        queue.tail = Some(key);
-        queue.len += 1;
-    }
-
-    /// Removes and returns the flit at the front of `queue`.
-    pub fn pop_front(&mut self, queue: &mut FlitQueue) -> Option<QueuedFlit> {
-        let head = queue.head?;
-        let cell = self.cells.remove(head).expect("queue head is a live cell");
-        queue.head = cell.next;
-        if queue.head.is_none() {
-            queue.tail = None;
-        }
-        queue.len -= 1;
-        Some(cell.flit)
-    }
 }
 
 /// Decomposition of a message into packets and flits: each packet carries up
@@ -148,49 +77,6 @@ impl FlitsOf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn flit(seq: u64) -> QueuedFlit {
-        QueuedFlit {
-            packet: 0,
-            seq,
-            upstream: None,
-        }
-    }
-
-    #[test]
-    fn queues_sharing_an_arena_stay_fifo() {
-        let mut arena = FlitQueues::default();
-        let (mut a, mut b) = (FlitQueue::default(), FlitQueue::default());
-        for seq in 0..3 {
-            arena.push_back(&mut a, flit(seq));
-            arena.push_back(&mut b, flit(10 + seq));
-        }
-        assert_eq!(arena.pop_front(&mut a), Some(flit(0)));
-        arena.push_back(&mut a, flit(3));
-        assert_eq!(a.len(), 3);
-        let drained: Vec<u64> = std::iter::from_fn(|| arena.pop_front(&mut a))
-            .map(|f| f.seq)
-            .collect();
-        assert_eq!(drained, [1, 2, 3]);
-        assert!(a.is_empty());
-        assert_eq!(arena.pop_front(&mut a), None);
-        assert_eq!(arena.pop_front(&mut b), Some(flit(10)));
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn popped_cells_are_reused() {
-        let mut arena = FlitQueues::default();
-        let mut q = FlitQueue::default();
-        for seq in 0..4 {
-            arena.push_back(&mut q, flit(seq));
-        }
-        while arena.pop_front(&mut q).is_some() {}
-        for seq in 0..4 {
-            arena.push_back(&mut q, flit(seq));
-        }
-        assert_eq!(arena.cells.capacity_used(), 4);
-    }
 
     #[test]
     fn exact_packets() {

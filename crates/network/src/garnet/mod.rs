@@ -39,13 +39,13 @@ use crate::{
     Arrival, Backend, LinkTable, Message, NetEvent, NetScheduler, NetStats, NetworkConfig,
     NetworkError,
 };
-use astra_des::{IdMap, Time};
+use astra_des::{Fifo, Fifos, IdMap, Time};
 use astra_topology::{LinkClass, LogicalTopology, Route};
-use flit::{FlitQueue, FlitQueues, FlitsOf, PacketState, QueuedFlit};
+use flit::{FlitsOf, PacketState, QueuedFlit};
 
 #[derive(Debug)]
 struct VcState {
-    queue: FlitQueue,
+    queue: Fifo,
     credits: usize,
 }
 
@@ -77,7 +77,7 @@ pub struct GarnetNet {
     /// Per-link router state, by dense link index.
     links: Vec<GLink>,
     /// The cells of every VC queue in `links`.
-    flits: FlitQueues,
+    flits: Fifos<QueuedFlit>,
     packets: IdMap<u64, PacketState>,
     messages: IdMap<u64, GMsgState>,
     next_packet_id: u64,
@@ -104,7 +104,7 @@ impl GarnetNet {
                 rr_cursor: 0,
                 vcs: (0..config.vcs_per_vnet)
                     .map(|_| VcState {
-                        queue: FlitQueue::default(),
+                        queue: Fifo::default(),
                         credits: config.buffers_per_vc,
                     })
                     .collect(),
@@ -116,7 +116,7 @@ impl GarnetNet {
             config: *config,
             table,
             links,
-            flits: FlitQueues::default(),
+            flits: Fifos::default(),
             packets: IdMap::default(),
             messages: IdMap::default(),
             next_packet_id: 0,

@@ -7,7 +7,7 @@
 //! chunk/collective runtime state the event loop advances and the
 //! machine-stepping logic, so [`crate::SystemSim`] only sequences events.
 
-use crate::{CollReport, SystemError};
+use crate::CollReport;
 use astra_collectives::{CollectiveError, CollectivePlan, PhaseMachine, SendCmd};
 use astra_des::Time;
 
@@ -151,7 +151,7 @@ pub(crate) fn absorb_step(
     step: u32,
     faults_active: bool,
     sends: &mut Vec<SendCmd>,
-) -> Result<bool, SystemError> {
+) -> Result<bool, CollectiveError> {
     let mut completed = match machine.on_receive(step, sends) {
         Ok(completed) => completed,
         // Under a fault plan, a step can overtake its predecessor: the
@@ -163,7 +163,7 @@ pub(crate) fn absorb_step(
             deferred.push(step);
             return Ok(false);
         }
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(e),
     };
     // Each accepted step may unblock held-back successors; drain until
     // a full sweep makes no progress.
@@ -178,7 +178,7 @@ pub(crate) fn absorb_step(
                     progressed = true;
                 }
                 Err(CollectiveError::UnexpectedStep { .. }) => i += 1,
-                Err(e) => return Err(e.into()),
+                Err(e) => return Err(e),
             }
         }
         if !progressed {

@@ -1,6 +1,7 @@
 //! System-layer error type.
 
 use astra_collectives::CollectiveError;
+use astra_des::Time;
 use astra_network::{FaultError, NetworkError};
 use astra_topology::{NodeId, TopologyError};
 use std::error::Error;
@@ -47,6 +48,22 @@ pub enum SystemError {
         /// The referenced collective id.
         coll: u64,
     },
+    /// A running chunk's phase machine rejected a received step (for
+    /// example a step that overtook its predecessor in the network).
+    StepRejected {
+        /// The NPU whose phase machine rejected the step.
+        npu: NodeId,
+        /// The collective the chunk belongs to.
+        coll: u64,
+        /// The chunk within the collective.
+        chunk: u32,
+        /// The chunk's current phase.
+        phase: u8,
+        /// Simulated time of the rejection.
+        time: Time,
+        /// What the phase machine reported.
+        source: CollectiveError,
+    },
     /// An internal protocol invariant was violated (a system-layer bug,
     /// surfaced as an error instead of a panic so callers can report it).
     Protocol {
@@ -76,6 +93,18 @@ impl fmt::Display for SystemError {
             SystemError::UnknownCollective { coll } => {
                 write!(f, "event references unknown collective coll{coll}")
             }
+            SystemError::StepRejected {
+                npu,
+                coll,
+                chunk,
+                phase,
+                time,
+                source,
+            } => write!(
+                f,
+                "NPU {npu} rejected a step of coll{coll} chunk {chunk} phase {phase} \
+                 at {time}: {source}"
+            ),
             SystemError::Protocol { what } => write!(f, "system protocol violation: {what}"),
         }
     }
@@ -88,6 +117,7 @@ impl Error for SystemError {
             SystemError::Network(e) => Some(e),
             SystemError::Topology(e) => Some(e),
             SystemError::Fault(e) => Some(e),
+            SystemError::StepRejected { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -598,7 +598,14 @@ impl SystemSim {
                 Ok(completed) => self
                     .issue_sends(npu, coll, chunk, phase, &sends)
                     .map(|()| completed),
-                Err(e) => Err(e),
+                Err(source) => Err(SystemError::StepRejected {
+                    npu: NodeId(npu),
+                    coll,
+                    chunk,
+                    phase,
+                    time: self.queue.now(),
+                    source,
+                }),
             };
         self.sends_scratch = sends;
         if completed? {

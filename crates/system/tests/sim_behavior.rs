@@ -297,6 +297,48 @@ mod core_behavior {
         s.run_until_idle().unwrap();
         assert!(s.report(id).is_some());
     }
+
+    /// Garnet's flit arbitration delivers a chunk's steps out of order in a
+    /// 256 KiB all-reduce on the default 1x4x1 torus, which aborts the run
+    /// (ROADMAP item 3). The error must say where and when, not blame
+    /// planning.
+    #[test]
+    fn rejected_step_names_npu_collective_chunk_phase_and_time() {
+        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 2, 2, 2).unwrap());
+        let mut s = SystemSim::new(
+            topo,
+            SystemConfig::default(),
+            &NetworkConfig::default(),
+            BackendKind::Garnet,
+        );
+        s.issue_collective(CollectiveRequest::all_reduce(256 << 10))
+            .unwrap();
+        let err = s.run_until_idle().unwrap_err();
+        let SystemError::StepRejected {
+            npu,
+            coll,
+            chunk,
+            phase,
+            time,
+            ref source,
+        } = err
+        else {
+            panic!("expected a rejected step, got: {err}");
+        };
+        assert!(time > Time::ZERO);
+        let msg = err.to_string();
+        for field in [
+            format!("NPU {npu}"),
+            format!("coll{coll}"),
+            format!("chunk {chunk}"),
+            format!("phase {phase}"),
+            format!("at {time}"),
+            source.to_string(),
+        ] {
+            assert!(msg.contains(&field), "{msg:?} does not name {field:?}");
+        }
+        assert!(!msg.contains("planning"), "{msg}");
+    }
 }
 
 mod fault_behavior {

@@ -58,6 +58,36 @@ SWEEPS: `sweep` expands the cartesian grid of all axes (topologies x ops x
     ExitCode::from(2)
 }
 
+/// The flags one subcommand accepts.
+struct Flags {
+    /// Flags followed by a value: `--name value`.
+    values: &'static [&'static str],
+    /// Flags that stand alone: `--name`.
+    switches: &'static [&'static str],
+}
+
+const COLLECTIVE_FLAGS: Flags = Flags {
+    values: &["topology", "op", "bytes", "scheduling", "trace", "faults"],
+    switches: &["enhanced", "json"],
+};
+const TRAIN_FLAGS: Flags = Flags {
+    values: &[
+        "topology", "model", "workload", "passes", "minibatch", "scheduling", "faults",
+    ],
+    switches: &["json"],
+};
+const EXPORT_FLAGS: Flags = Flags {
+    values: &["model", "out", "minibatch"],
+    switches: &[],
+};
+const SWEEP_FLAGS: Flags = Flags {
+    values: &[
+        "spec", "topology", "op", "sizes", "algorithms", "scheduling", "faults", "name",
+        "workers", "cache-dir", "out-dir",
+    ],
+    switches: &["json"],
+};
+
 /// Minimal `--flag value` parser.
 struct Args {
     pairs: Vec<(String, String)>,
@@ -65,25 +95,29 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Self {
+    /// Parses `argv` against the subcommand's `known` flags. An unknown
+    /// flag, a value flag without its value, or a bare positional argument
+    /// is an error naming it.
+    fn parse(argv: &[String], known: &Flags) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    pairs.push((name.to_owned(), argv[i + 1].clone()));
-                    i += 2;
-                } else {
-                    flags.push(name.to_owned());
-                    i += 1;
+        let mut rest = argv.iter();
+        while let Some(a) = rest.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{a}'"));
+            };
+            if known.switches.contains(&name) {
+                flags.push(name.to_owned());
+            } else if known.values.contains(&name) {
+                match rest.next() {
+                    Some(v) if !v.starts_with("--") => pairs.push((name.to_owned(), v.clone())),
+                    _ => return Err(format!("--{name} needs a value")),
                 }
             } else {
-                i += 1;
+                return Err(format!("unknown flag '{a}'"));
             }
         }
-        Args { pairs, flags }
+        Ok(Args { pairs, flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -408,14 +442,15 @@ fn main() -> ExitCode {
     let Some(cmd) = argv.first() else {
         return usage();
     };
-    let args = Args::parse(&argv[1..]);
-    let result = match cmd.as_str() {
-        "collective" => cmd_collective(&args),
-        "train" => cmd_train(&args),
-        "export" => cmd_export(&args),
-        "sweep" => cmd_sweep(&args),
+    type Run = fn(&Args) -> Result<(), String>;
+    let (run, known): (Run, &Flags) = match cmd.as_str() {
+        "collective" => (cmd_collective, &COLLECTIVE_FLAGS),
+        "train" => (cmd_train, &TRAIN_FLAGS),
+        "export" => (cmd_export, &EXPORT_FLAGS),
+        "sweep" => (cmd_sweep, &SWEEP_FLAGS),
         _ => return usage(),
     };
+    let result = Args::parse(&argv[1..], known).and_then(|args| run(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

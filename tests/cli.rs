@@ -188,3 +188,33 @@ fn bad_arguments_fail_gracefully() {
     assert!(!ok);
     assert!(stderr.contains("--model"));
 }
+
+#[test]
+fn unknown_or_incomplete_flags_fail() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["collective", "--topology", "1x4x1", "--bytes", "4096", "--bakend", "garnet"],
+            "--bakend",
+        ),
+        (
+            &["collective", "--topology", "1x4x1", "--bytes", "4096", "--faults"],
+            "--faults",
+        ),
+        (
+            &["train", "--topology", "2x2x1", "--model", "tiny_mlp", "--jsno"],
+            "--jsno",
+        ),
+        (
+            &["collective", "--topology", "1x4x1", "--bytes", "4096", "--json", "extra"],
+            "extra",
+        ),
+    ];
+    for (args, named) in cases {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} should fail, printed: {stdout}");
+        assert!(
+            stderr.contains("error") && stderr.contains(named),
+            "{args:?}: stderr should name {named}: {stderr}"
+        );
+    }
+}
