@@ -27,9 +27,11 @@
 //!   completes;
 //! * [`traffic`] — exact per-node / per-link-class byte accounting, used to
 //!   check the paper's analytical factors (e.g. `28/8·N` for a 1×8×8 torus);
-//! * [`semantics`] — a functional (non-timed) executor that runs a plan at
-//!   shard granularity and proves it delivers the collective's semantics on
-//!   every node; the property tests lean on it.
+//! * [`semantics`] — the symbolic plan executor: it runs a plan at shard
+//!   granularity and proves it delivers the collective's semantics on every
+//!   node. A mutation hook ([`semantics::Mutation`]) injects deliberate
+//!   faults to show the check bites. The property tests and the
+//!   conformance harness's shadow oracle both run on it.
 //!
 //! ## Example
 //!

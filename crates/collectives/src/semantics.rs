@@ -4,10 +4,24 @@
 //! The executor tracks data at shard granularity: the collective's element
 //! space is divided into one **piece** per combination of plan-dimension
 //! coordinates, and each node's state maps pieces to the set of nodes whose
-//! contribution has been folded in. Running a plan phase-by-phase and then
-//! asserting the op's postcondition catches planner mistakes (wrong phase
-//! order, wrong scales, wrong dimension) that a timing simulation would
-//! happily mis-time without noticing.
+//! contribution has been folded in (a symbolic payload). Reduction phases
+//! fold contributor sets together; gather and scatter phases move them.
+//! After the last phase the op's postcondition is checked on every node:
+//!
+//! * **all-reduce** — every node holds every piece, each reduced over the
+//!   full participant slice (the "full sum" everywhere);
+//! * **all-gather** — every node holds all shards, each attributed to
+//!   exactly its owner;
+//! * **reduce-scatter** — every node holds exactly its own shard, fully
+//!   reduced;
+//! * **all-to-all** — every node ends with precisely the items addressed
+//!   to it, one from each source.
+//!
+//! This catches planner mistakes (wrong phase order, wrong scales, wrong
+//! dimension) that a timing simulation would happily mis-time without
+//! noticing. [`Mutation`]s inject deliberate faults into the execution
+//! ([`verify_with_mutations`]) to prove the check bites: a mutated plan
+//! must fail to verify.
 //!
 //! # Example
 //!
@@ -21,9 +35,33 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::{CollectiveOp, CollectivePlan, PhaseOp};
+use crate::{CollectiveOp, CollectivePlan, PhaseOp, PhaseSpec};
 use astra_topology::{Coord, Dim, LogicalTopology, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A deliberate fault injected into the symbolic execution, used to
+/// demonstrate that the verifier bites (a mutated plan must fail to verify).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// Drop the phase at this index entirely.
+    SkipPhase(usize),
+    /// Replace the op of the phase at this index (e.g. turn a
+    /// reduce-scatter into an all-gather — a "wrong reduction op").
+    SwapOp {
+        /// Index of the phase to mutate.
+        phase: usize,
+        /// The replacement op.
+        op: PhaseOp,
+    },
+    /// During the phase at this index, lose `node`'s contribution to its
+    /// group's reduction (models a corrupted partial sum).
+    DropContribution {
+        /// Index of the phase to mutate.
+        phase: usize,
+        /// The node whose contribution is dropped.
+        node: usize,
+    },
+}
 
 /// Coordinates of a node along every dimension (inactive dims read 0).
 fn coords_of(topo: &LogicalTopology, node: NodeId) -> [usize; 5] {
@@ -68,15 +106,15 @@ fn piece_of(coords: &[usize; 5], dims: &[(Dim, usize)]) -> usize {
     piece
 }
 
-fn piece_coord(piece: usize, dims: &[(Dim, usize)], dim: Dim) -> usize {
+fn piece_coord(piece: usize, dims: &[(Dim, usize)], dim: Dim) -> Result<usize, String> {
     let mut rest = piece;
     for &(d, size) in dims {
         if d == dim {
-            return rest % size;
+            return Ok(rest % size);
         }
         rest /= size;
     }
-    unreachable!("dim {dim} not in plan dims");
+    Err(format!("phase dimension {dim} is not a plan dimension"))
 }
 
 /// Group key: all coordinates except the phase dimension (nodes matching on
@@ -97,6 +135,11 @@ fn slice_key(coords: &[usize; 5], dims: &[(Dim, usize)]) -> [usize; 5] {
     k
 }
 
+/// Whether `mutations` drop `node`'s contribution during phase `phase`.
+fn dropped(mutations: &[Mutation], phase: usize, node: usize) -> bool {
+    mutations.contains(&Mutation::DropContribution { phase, node })
+}
+
 type Contribs = BTreeMap<usize, BTreeSet<usize>>; // piece -> contributor node ids
 
 /// Runs `plan` functionally on `topo` and checks the op's postcondition on
@@ -106,6 +149,23 @@ type Contribs = BTreeMap<usize, BTreeSet<usize>>; // piece -> contributor node i
 ///
 /// Returns a human-readable description of the first violated invariant.
 pub fn verify_plan(topo: &LogicalTopology, plan: &CollectivePlan) -> Result<(), String> {
+    verify_with_mutations(topo, plan, &[])
+}
+
+/// As [`verify_plan`], with `mutations` applied to the execution.
+///
+/// With no mutations this passes for every plan the planner emits; with
+/// any mutation it must fail (that is what the mutation demonstrations
+/// assert).
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first violated invariant.
+pub fn verify_with_mutations(
+    topo: &LogicalTopology,
+    plan: &CollectivePlan,
+    mutations: &[Mutation],
+) -> Result<(), String> {
     let n = topo.num_npus();
     let coords: Vec<[usize; 5]> = (0..n).map(|i| coords_of(topo, NodeId(i))).collect();
     let dims: Vec<(Dim, usize)> = {
@@ -119,22 +179,39 @@ pub fn verify_plan(topo: &LogicalTopology, plan: &CollectivePlan) -> Result<(), 
     if dims.is_empty() {
         return Err("plan has no dimensions".into());
     }
-    let num_pieces: usize = dims.iter().map(|&(_, s)| s).product();
+
+    // Apply the structural mutations, keeping original phase indices so
+    // DropContribution still targets by index.
+    let mut phases: Vec<(usize, PhaseSpec)> = plan.phases().iter().copied().enumerate().collect();
+    for m in mutations {
+        match *m {
+            Mutation::SkipPhase(i) => phases.retain(|&(idx, _)| idx != i),
+            Mutation::SwapOp { phase, op } => {
+                for (idx, p) in &mut phases {
+                    if *idx == phase {
+                        p.op = op;
+                    }
+                }
+            }
+            Mutation::DropContribution { .. } => {}
+        }
+    }
 
     match plan.op() {
-        CollectiveOp::AllToAll => verify_a2a(plan, &coords, &dims, num_pieces),
-        op => verify_reduction_family(op, plan, &coords, &dims, num_pieces),
+        CollectiveOp::AllToAll => verify_a2a(&phases, &coords, &dims, mutations),
+        op => verify_reduction_family(op, &phases, &coords, &dims, mutations),
     }
 }
 
 fn verify_reduction_family(
     op: CollectiveOp,
-    plan: &CollectivePlan,
+    phases: &[(usize, PhaseSpec)],
     coords: &[[usize; 5]],
     dims: &[(Dim, usize)],
-    num_pieces: usize,
+    mutations: &[Mutation],
 ) -> Result<(), String> {
     let n = coords.len();
+    let num_pieces: usize = dims.iter().map(|&(_, s)| s).product();
     // Initial state.
     let mut state: Vec<Contribs> = (0..n)
         .map(|i| {
@@ -153,7 +230,7 @@ fn verify_reduction_family(
         })
         .collect();
 
-    for (idx, phase) in plan.phases().iter().enumerate() {
+    for &(idx, phase) in phases {
         let groups = build_groups(coords, phase.dim);
         for members in groups.values() {
             match phase.op {
@@ -166,10 +243,12 @@ fn verify_reduction_family(
                         let mut union = BTreeSet::new();
                         for &m in members {
                             if let Some(c) = state[m].remove(&p) {
-                                union.extend(c);
+                                if !dropped(mutations, idx, m) {
+                                    union.extend(c);
+                                }
                             }
                         }
-                        let want = piece_coord(p, dims, phase.dim);
+                        let want = piece_coord(p, dims, phase.dim)?;
                         let owner = members
                             .iter()
                             .copied()
@@ -181,17 +260,30 @@ fn verify_reduction_family(
                     }
                 }
                 PhaseOp::AllGather => {
+                    // A gather copies shards verbatim — it cannot combine.
+                    // Conflicting versions of the same piece among the group
+                    // mean a reduce was required here (the "wrong reduction
+                    // op" failure mode), and the symbolic payload makes that
+                    // visible.
                     let mut gathered = Contribs::new();
                     for &m in members {
+                        if dropped(mutations, idx, m) {
+                            continue;
+                        }
                         for (p, c) in &state[m] {
-                            let entry = gathered.entry(*p).or_default();
-                            if !entry.is_empty() && entry != c {
-                                return Err(format!(
-                                    "phase {idx}: inconsistent contributors for piece {p} \
-                                     during all-gather"
-                                ));
+                            match gathered.get(p) {
+                                None => {
+                                    gathered.insert(*p, c.clone());
+                                }
+                                Some(seen) if seen == c => {}
+                                Some(seen) => {
+                                    return Err(format!(
+                                        "phase {idx}: all-gather saw conflicting versions \
+                                         of piece {p} ({seen:?} vs {c:?}) — gather cannot \
+                                         combine partial reductions"
+                                    ));
+                                }
                             }
-                            entry.extend(c.iter().copied());
                         }
                     }
                     for &m in members {
@@ -212,7 +304,9 @@ fn verify_reduction_family(
                     for p in first {
                         let mut union = BTreeSet::new();
                         for &m in members {
-                            union.extend(state[m][&p].iter().copied());
+                            if !dropped(mutations, idx, m) {
+                                union.extend(state[m][&p].iter().copied());
+                            }
                         }
                         for &m in members {
                             state[m].insert(p, union.clone());
@@ -244,7 +338,10 @@ fn verify_reduction_family(
                 for (p, c) in &state[i] {
                     if *c != slice {
                         return Err(format!(
-                            "all-reduce: node {i} piece {p} reduced over {c:?}, want {slice:?}"
+                            "all-reduce: node {i} piece {p} reduced over {} of {} \
+                             contributors",
+                            c.len(),
+                            slice.len()
                         ));
                     }
                 }
@@ -294,12 +391,13 @@ fn verify_reduction_family(
 }
 
 fn verify_a2a(
-    plan: &CollectivePlan,
+    phases: &[(usize, PhaseSpec)],
     coords: &[[usize; 5]],
     dims: &[(Dim, usize)],
-    num_pieces: usize,
+    mutations: &[Mutation],
 ) -> Result<(), String> {
     let n = coords.len();
+    let num_pieces: usize = dims.iter().map(|&(_, s)| s).product();
     // Items are (source piece, destination piece); each node starts with the
     // items sourced at itself, destined everywhere in its slice.
     let mut state: Vec<BTreeSet<(usize, usize)>> = (0..n)
@@ -309,39 +407,47 @@ fn verify_a2a(
         })
         .collect();
 
-    for (idx, phase) in plan.phases().iter().enumerate() {
+    for &(idx, phase) in phases {
         if phase.op != PhaseOp::AllToAll {
             return Err(format!("phase {idx}: non-A2A phase in an all-to-all plan"));
         }
         let groups = build_groups(coords, phase.dim);
         for members in groups.values() {
             let mut moved: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut missing: Option<usize> = None;
+            let mut err: Option<String> = None;
             for &m in members {
                 state[m].retain(|&(s, d)| {
-                    let want = piece_coord(d, dims, phase.dim);
+                    let want = match piece_coord(d, dims, phase.dim) {
+                        Ok(w) => w,
+                        Err(e) => {
+                            err.get_or_insert(e);
+                            return true;
+                        }
+                    };
                     let Some(target) = members
                         .iter()
                         .copied()
                         .find(|&y| coords[y][phase.dim.index()] == want)
                     else {
-                        missing.get_or_insert(d);
+                        err.get_or_insert(format!(
+                            "phase {idx}: piece {d} routes along {} to a coordinate no \
+                             group member occupies",
+                            phase.dim
+                        ));
                         return true;
                     };
                     if target == m {
                         true
                     } else {
-                        moved.push((target, (s, d)));
+                        if !dropped(mutations, idx, m) {
+                            moved.push((target, (s, d)));
+                        }
                         false
                     }
                 });
             }
-            if let Some(d) = missing {
-                return Err(format!(
-                    "phase {idx}: piece {d} routes along {} to a coordinate no \
-                     group member occupies",
-                    phase.dim
-                ));
+            if let Some(e) = err {
+                return Err(e);
             }
             for (target, item) in moved {
                 state[target].insert(item);
@@ -443,24 +549,19 @@ mod tests {
 
     #[test]
     fn a_broken_plan_is_caught() {
-        // Hand-build an all-reduce plan that skips the vertical dimension:
-        // the postcondition must fail.
+        // A skipped phase or a lost partial sum must break the all-reduce
+        // postcondition, while the unmutated plan verifies.
         let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1).unwrap());
-        let good = plan(&topo, CollectiveOp::AllReduce, Algorithm::Baseline, None).unwrap();
-        // Reconstruct with a missing phase by re-planning on a subset but
-        // claiming full dims: verify against the full-dims plan instead.
-        let partial = plan(
-            &topo,
-            CollectiveOp::AllReduce,
-            Algorithm::Baseline,
-            Some(&[Dim::Local]),
-        )
-        .unwrap();
-        // The partial plan is *valid for its own slice definition*, so it
-        // verifies; the point of this test is that good != partial and both
-        // self-verify under their own dims.
-        verify_plan(&topo, &good).unwrap();
-        verify_plan(&topo, &partial).unwrap();
-        assert_ne!(good.phases().len(), partial.phases().len());
+        let p = plan(&topo, CollectiveOp::AllReduce, Algorithm::Baseline, None).unwrap();
+        verify_plan(&topo, &p).unwrap();
+        for mutation in [
+            Mutation::SkipPhase(p.phases().len() - 1),
+            Mutation::DropContribution { phase: 0, node: 1 },
+        ] {
+            assert!(
+                verify_with_mutations(&topo, &p, &[mutation]).is_err(),
+                "{mutation:?} must be caught"
+            );
+        }
     }
 }

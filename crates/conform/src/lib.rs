@@ -13,12 +13,13 @@
 //!   through **both** backends and asserts structural equivalence: the same
 //!   per-NPU chunk completion order, the same message counts, and an
 //!   analytical completion time within a configurable envelope of Garnet's.
-//! * [`shadow`] — a data-plane oracle: every chunk carries a symbolic
-//!   payload (the set of contributing nodes), and the collective's
-//!   postcondition is checked on every NPU — all-reduce yields the full
-//!   sum everywhere, all-gather yields all shards, reduce-scatter
-//!   partitions exactly. Deliberate [`shadow::Mutation`]s prove the oracle
-//!   actually bites.
+//! * [`shadow`] — a data-plane oracle: every chunk of the plan runs through
+//!   the symbolic executor [`astra_collectives::semantics`] (each payload
+//!   is the set of contributing nodes), and the collective's postcondition
+//!   is checked on every NPU — all-reduce yields the full sum everywhere,
+//!   all-gather yields all shards, reduce-scatter partitions exactly.
+//!   Deliberate [`shadow::Mutation`]s prove the oracle actually bites; the
+//!   timed run is then checked to follow the same plan.
 //! * DES invariant checkers — compiled into the kernel behind the
 //!   `conform-checks` feature (monotone event time, FIFO tie-break
 //!   stability, slab double-free detection, Garnet credit conservation)

@@ -46,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod engine;
 mod fifo;
 pub mod hash;
 mod idmap;
@@ -57,7 +56,6 @@ pub mod stats;
 mod time;
 
 pub use clock::Clock;
-pub use engine::{Engine, Model};
 pub use fifo::{Fifo, Fifos};
 pub use idmap::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;

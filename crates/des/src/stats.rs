@@ -95,93 +95,6 @@ impl RunningStats {
     }
 }
 
-/// A power-of-two bucketed histogram for latency distributions.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
-///
-/// # Example
-///
-/// ```
-/// use astra_des::stats::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(1);
-/// h.record(5);
-/// h.record(5);
-/// assert_eq!(h.bucket_count(0), 1); // [1,2)
-/// assert_eq!(h.bucket_count(2), 2); // [4,8)
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: Vec::new(),
-            total: 0,
-        }
-    }
-
-    fn bucket_index(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = Self::bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Count in bucket `i` (0 if the bucket was never touched).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates over `(bucket_lower_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-
-    /// Approximate quantile (returns the lower bound of the bucket holding
-    /// the q-quantile sample). `q` must be in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
-            }
-        }
-        Some(1u64 << (self.buckets.len() - 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,42 +135,5 @@ mod tests {
         let mut s = RunningStats::new();
         s.record_time(Time::from_cycles(100));
         assert_eq!(s.sum(), 100.0);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.bucket_count(0), 2); // 0 and 1
-        assert_eq!(h.bucket_count(1), 2); // 2 and 3
-        assert_eq!(h.bucket_count(10), 1); // 1024
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_iter_skips_empty() {
-        let mut h = Histogram::new();
-        h.record(1);
-        h.record(64);
-        let v: Vec<_> = h.iter().collect();
-        assert_eq!(v, vec![(0, 1), (64, 1)]);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for _ in 0..90 {
-            h.record(4);
-        }
-        for _ in 0..10 {
-            h.record(4096);
-        }
-        assert_eq!(h.quantile(0.5), Some(4));
-        assert_eq!(h.quantile(0.99), Some(4096));
-        assert_eq!(Histogram::new().quantile(0.5), None);
     }
 }

@@ -2,6 +2,8 @@
 
 use astra_collectives::{Algorithm, IntraAlgo};
 use astra_des::Time;
+use astra_network::{AnalyticalNet, Backend, GarnetNet, NetworkConfig};
+use astra_topology::LogicalTopology;
 use serde::{Deserialize, Serialize};
 
 /// Order in which collectives drain from the ready queue
@@ -76,6 +78,16 @@ pub enum BackendKind {
     Analytical,
     /// Flit-level Garnet-like model — detailed, for small validation runs.
     Garnet,
+}
+
+impl BackendKind {
+    /// Builds this backend over the fabric `topo`.
+    pub(crate) fn build(self, topo: &LogicalTopology, net_cfg: &NetworkConfig) -> Box<dyn Backend> {
+        match self {
+            BackendKind::Analytical => Box::new(AnalyticalNet::new(topo, net_cfg)),
+            BackendKind::Garnet => Box::new(GarnetNet::new(topo, net_cfg)),
+        }
+    }
 }
 
 /// System-layer parameters.

@@ -29,8 +29,7 @@ use crate::{
 use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
 use astra_des::{EventQueue, IdMap, SlabKey, Time};
 use astra_network::{
-    AnalyticalNet, Arrival, Backend, FaultError, FaultPlan, GarnetNet, NetEvent, NetScheduler,
-    NetworkConfig,
+    Arrival, Backend, FaultError, FaultPlan, NetEvent, NetScheduler, NetworkConfig,
 };
 use astra_topology::{LogicalTopology, NodeId, Route};
 use std::collections::VecDeque;
@@ -123,10 +122,7 @@ impl SystemSim {
         net_cfg: &NetworkConfig,
         backend: BackendKind,
     ) -> Self {
-        let net: Box<dyn Backend> = match backend {
-            BackendKind::Analytical => Box::new(AnalyticalNet::new(&topo, net_cfg)),
-            BackendKind::Garnet => Box::new(GarnetNet::new(&topo, net_cfg)),
-        };
+        let net = backend.build(&topo, net_cfg);
         Self::with_backend(topo, cfg, net_cfg, net)
     }
 
